@@ -51,8 +51,9 @@ cargo test --offline -q -p ojv-feed
 cargo test --offline -q --test property_feed --test feed_interleavings
 cargo test --offline -q --features concheck --test property_feed --test feed_interleavings
 
-echo "==> change-feed fan-out panel (100k subscribers, writes BENCH_pr9.json)"
-./target/release/repro --sf 0.05 feedbench
+echo "==> change-feed fan-out panel (100k subscribers; scratch cwd keeps the committed BENCH_pr9.json)"
+mkdir -p target/feedbench-smoke
+(cd target/feedbench-smoke && ../../target/release/repro --sf 0.05 feedbench)
 
 echo "==> sharding suite: differential property + group-commit crash matrix (plain + concheck)"
 cargo test --offline -q --test property_sharding --test readme_quickstart_sharding

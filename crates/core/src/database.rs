@@ -339,6 +339,15 @@ impl Database {
         self.snapshots.pin_at(lsn)
     }
 
+    /// Canonical encoding of the database's logical state: commit LSN, base
+    /// table rows and every (non-aggregate) view's rows and count indexes,
+    /// all in a heap-order-independent form. Byte-equal to the
+    /// [`crate::shard::ShardedDatabase::state_bytes`] of a façade at any
+    /// shard count holding the same content.
+    pub fn state_bytes(&self) -> Result<Vec<u8>> {
+        crate::shard::canonical_state_bytes(std::slice::from_ref(self))
+    }
+
     /// LSN of the last committed maintenance batch.
     pub fn commit_lsn(&self) -> Lsn {
         self.commit_lsn

@@ -19,8 +19,10 @@
 //! * [`database`] — a small façade tying the catalog and views together,
 //! * [`snapshot`] — LSN-versioned view images: consistent snapshot reads
 //!   concurrent with maintenance, with epoch-based reclamation,
+//! * [`shard`] — the hash-partitioned façade; one shard is the plain path,
 //! * [`durable`] — WAL + checkpoints + crash recovery replayed through the
-//!   incremental engine.
+//!   incremental engine, one protocol for every shard count (group commit
+//!   across shards).
 //!
 //! # Quick start
 //!
@@ -61,13 +63,17 @@ pub mod parser;
 pub mod policy;
 pub mod secondary;
 pub mod shard;
-pub mod shard_durable;
 pub mod snapshot;
 pub mod sql;
 pub mod term_delta;
 mod trace;
 pub mod view_def;
-pub mod view_match;
+
+/// The routed durable handle under the path its callers import; it is
+/// defined in [`durable`] with the rest of the protocol.
+pub mod shard_durable {
+    pub use crate::durable::{ShardedDurableDatabase, ShardedRecoveryReport, REC_GROUP};
+}
 
 /// The commonly used types, for `use ojv_core::prelude::*`.
 pub mod prelude {
@@ -76,7 +82,9 @@ pub mod prelude {
     pub use crate::compile::{compile_count, CompiledMaintenancePlan, PlanCache, PlanConfig};
     pub use crate::database::Database;
     pub use crate::deferred::DeferredView;
-    pub use crate::durable::{DurableDatabase, RecoveryReport};
+    pub use crate::durable::{
+        DurableDatabase, RecoveryReport, ShardedDurableDatabase, ShardedRecoveryReport,
+    };
     pub use crate::error::{CoreError, Result};
     pub use crate::explain::{explain_plan, render_exec_stats};
     pub use crate::maintain::{maintain, verify_against_recompute, MaintenanceReport};
@@ -84,13 +92,11 @@ pub mod prelude {
     pub use crate::parser::parse_view;
     pub use crate::policy::{MaintenancePolicy, SecondaryStrategy};
     pub use crate::shard::{RoutingSpec, ShardedDatabase, ShardedSnapshot};
-    pub use crate::shard_durable::{ShardedDurableDatabase, ShardedRecoveryReport};
     pub use crate::snapshot::{
         delta_counts, CommitObserver, FanoutStats, Snapshot, SnapshotRegistry, SnapshotStats,
         SnapshotView, ViewOp,
     };
     pub use crate::view_def::{col_between, col_cmp, col_eq, NamedAtom, ViewDef, ViewExpr};
-    pub use crate::view_match::{execute_match, match_view, ViewMatch};
     pub use ojv_algebra::{CmpOp, JoinKind};
     pub use ojv_durability::{DiskVfs, FsyncPolicy, MemVfs, Vfs};
     pub use ojv_exec::{ExecStatsSnapshot, ParallelSpec};

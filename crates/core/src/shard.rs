@@ -25,12 +25,26 @@
 //! reads are atomic: [`ShardedDatabase::snapshot`] pins all shards at the
 //! same LSN.
 //!
+//! # One shard is the plain path
+//!
+//! With N = 1 every join is local, so the façade is a plain [`Database`]:
+//! the template catalog is cloned once (not re-routed row by row), routing
+//! declarations are not needed, every view is accepted, and the shard's own
+//! catalog enforces keys and foreign keys. The façade's cross-shard
+//! validation runs only when N > 1.
+//!
+//! Durability ([`crate::durable`]) is one log protocol over this façade for
+//! every N: at N = 1 the shard's WAL is the commit log — no coordinator,
+//! one fsync per commit — and at N > 1 a commit touching K shards pays
+//! K+1 fsyncs through a group-commit coordinator.
+//!
 //! Because per-shard heap orders depend on the partitioning, cross-shard
 //! comparisons use the *canonical* [`ShardedDatabase::state_bytes`]: rows
 //! sorted by encoded bytes, count indexes merged by key. An N-shard façade
-//! is byte-identical to a 1-shard façade (and to a freshly recomputed twin)
-//! over the same logical content — the differential property suites pin
-//! exactly this.
+//! is byte-identical to a 1-shard façade, to a plain [`Database`]
+//! ([`Database::state_bytes`]) and to a freshly recomputed twin over the
+//! same logical content — the differential property suites pin exactly
+//! this.
 
 use std::collections::BTreeMap;
 
@@ -154,12 +168,11 @@ pub struct ShardedDatabase {
     routing: BTreeMap<String, TableRouting>,
     /// Names of created views, in creation order.
     views: Vec<String>,
-    /// Global commit LSN — every shard's registry is published at this.
-    commit_lsn: Lsn,
-    /// Enforce FK constraints across shards (mirrors
-    /// [`Catalog::enforce_constraints`]; per-shard catalogs always run with
-    /// enforcement off because the façade checks globally).
-    pub enforce_constraints: bool,
+    /// Enforce FK constraints across shards when N > 1 (mirrors
+    /// [`Catalog::enforce_constraints`]; those shard catalogs run with
+    /// enforcement off because the façade checks globally). A single shard
+    /// keeps the template's flag and enforces on its own.
+    pub(crate) enforce_constraints: bool,
     /// Fan per-shard maintenance out on scoped worker threads. Results are
     /// merged in shard order either way, so this never changes any state —
     /// the differential suites run both settings.
@@ -172,13 +185,17 @@ impl ShardedDatabase {
     /// The template's schema (tables, keys, secondary FK indexes, flags) is
     /// replicated into every shard and its rows are routed to their owners.
     /// Every table must have a routing entry whose columns are a subset of
-    /// the table's unique key.
+    /// the table's unique key. A single shard is a clone of the template
+    /// and ignores `routing` (see the module docs).
     pub fn new(template: &Catalog, shards: usize, routing: RoutingSpec) -> Result<Self> {
         if shards == 0 {
             return Err(CoreError::InvalidView {
                 view: "<sharding>".to_string(),
                 detail: "shard count must be at least 1".to_string(),
             });
+        }
+        if shards == 1 {
+            return Ok(Self::single(Database::new(template.clone())));
         }
         let router = ShardRouter::new(shards);
         let resolved = resolve_routing(template, &routing)?;
@@ -232,23 +249,38 @@ impl ShardedDatabase {
             router,
             routing: resolved,
             views: Vec::new(),
-            commit_lsn: 0,
             enforce_constraints: template.enforce_constraints,
             parallel_shards: false,
         })
     }
 
+    /// The 1-shard façade over `db`: no routing, and the database's own
+    /// catalog enforces constraints.
+    pub(crate) fn single(db: Database) -> Self {
+        ShardedDatabase {
+            router: ShardRouter::new(1),
+            routing: BTreeMap::new(),
+            views: db.views().map(|v| v.name().to_string()).collect(),
+            enforce_constraints: db.catalog().enforce_constraints,
+            shards: vec![db],
+            parallel_shards: false,
+        }
+    }
+
     /// Reassemble a façade from recovered per-shard databases (the durable
     /// layer restores each shard from its own checkpoint + WAL tail). The
-    /// shards must share one schema and one view list; `routing` is
-    /// re-resolved against it, re-running the key-alignment validation.
+    /// shards must share one schema, one view list and one commit LSN; with
+    /// more than one shard, `routing` is re-resolved against the schema,
+    /// re-running the key-alignment validation.
     pub(crate) fn from_recovered(
-        shards: Vec<Database>,
+        mut shards: Vec<Database>,
         routing: &RoutingSpec,
         enforce_constraints: bool,
-        commit_lsn: Lsn,
     ) -> Result<Self> {
         assert!(!shards.is_empty(), "recovered shard set cannot be empty");
+        if shards.len() == 1 {
+            return Ok(Self::single(shards.pop().expect("one shard")));
+        }
         let resolved = resolve_routing(shards[0].catalog(), routing)?;
         let views = shards[0]
             .views()
@@ -260,7 +292,6 @@ impl ShardedDatabase {
             router,
             routing: resolved,
             views,
-            commit_lsn,
             enforce_constraints,
             parallel_shards: false,
         })
@@ -271,7 +302,8 @@ impl ShardedDatabase {
     }
 
     /// The routing declarations this façade was built with, reconstructed
-    /// (table-name order) — the durable layer persists these.
+    /// (table-name order) — the durable layer persists these. Empty for a
+    /// single shard, which routes nothing.
     pub fn routing_spec(&self) -> RoutingSpec {
         let mut spec = RoutingSpec::new();
         for (table, tr) in &self.routing {
@@ -292,15 +324,27 @@ impl ShardedDatabase {
         self.shards.iter()
     }
 
+    /// Mutable shards, for the durable layer's single-shard handle (commit
+    /// observers attach to its one shard). Updates still go through the
+    /// façade.
+    pub(crate) fn shards_mut(&mut self) -> &mut [Database] {
+        &mut self.shards
+    }
+
     /// The owner shard of a `table` row.
     pub fn shard_of_row(&self, table: &str, row: &[Datum]) -> Result<ShardId> {
+        if self.shards.len() == 1 {
+            self.shards[0].catalog().table(table)?;
+            return Ok(ShardId::new(0));
+        }
         let tr = self.table_routing(table)?;
         Ok(self.router.route(row, &tr.cols))
     }
 
-    /// Global commit LSN — every shard's registry has published up to this.
+    /// Global commit LSN — every shard's registry has published up to this
+    /// (the shards commit in lockstep, so shard 0's LSN is everyone's).
     pub fn commit_lsn(&self) -> Lsn {
-        self.commit_lsn
+        self.shards[0].commit_lsn()
     }
 
     /// Apply `policy` to every shard.
@@ -321,9 +365,12 @@ impl ShardedDatabase {
     /// Create an outer-join view on every shard, after checking that the
     /// view is **routing-aligned**: the routing columns of all referenced
     /// tables must be pairwise connected through the view's equijoin atoms.
-    /// Misaligned views are rejected — their joins would cross shards.
+    /// Misaligned views are rejected — their joins would cross shards. A
+    /// single shard accepts every view: all its joins are local.
     pub fn create_view(&mut self, def: ViewDef) -> Result<()> {
-        self.check_alignment(&def)?;
+        if self.shards.len() > 1 {
+            self.check_alignment(&def)?;
+        }
         for s in &mut self.shards {
             s.create_view(def.clone())?;
         }
@@ -401,12 +448,16 @@ impl ShardedDatabase {
     /// Validate, route, and apply an insert batch to its owner shards
     /// *without* maintaining views — the durable layer logs the returned
     /// per-shard deltas before maintenance runs (WAL protocol). One entry
-    /// per shard, `None` for untouched shards.
+    /// per shard, `None` for untouched shards; a single shard always gets
+    /// its (possibly empty) delta, exactly as [`Database::apply_insert`].
     pub(crate) fn apply_insert_routed(
         &mut self,
         table: &str,
         rows: Vec<Row>,
     ) -> Result<Vec<Option<Update>>> {
+        if self.shards.len() == 1 {
+            return Ok(vec![Some(self.shards[0].apply_insert(table, rows)?)]);
+        }
         let tr = self.table_routing(table)?.clone();
         let schema = self.shards[0].catalog().table(table)?.schema().clone();
         let key_cols = self.shards[0].catalog().table(table)?.key_cols().to_vec();
@@ -475,6 +526,9 @@ impl ShardedDatabase {
         table: &str,
         keys: &[Vec<Datum>],
     ) -> Result<Vec<Option<Update>>> {
+        if self.shards.len() == 1 {
+            return Ok(vec![Some(self.shards[0].apply_delete(table, keys)?)]);
+        }
         let tr = self.table_routing(table)?.clone();
         // Global pre-validation: every key must exist on its owner shard,
         // and no child row anywhere may still reference a deleted parent.
@@ -555,7 +609,7 @@ impl ShardedDatabase {
         &mut self,
         updates: &[Option<Update>],
     ) -> Result<Vec<MaintenanceReport>> {
-        self.maintain_and_publish_at(updates, self.commit_lsn + 1)
+        self.maintain_and_publish_at(updates, self.commit_lsn() + 1)
     }
 
     /// [`ShardedDatabase::maintain_and_publish`] at an explicit global LSN —
@@ -614,7 +668,6 @@ impl ShardedDatabase {
                 publish_err.get_or_insert(e);
             }
         }
-        self.commit_lsn = lsn;
         // Deterministic shard-order merge of the per-shard reports.
         let mut reports = Vec::new();
         for r in results.into_iter().flatten() {
@@ -657,7 +710,7 @@ impl ShardedDatabase {
     /// Pin a consistent cross-shard snapshot at the newest global LSN: one
     /// pinned [`Snapshot`] per shard, all at the same LSN.
     pub fn snapshot(&self) -> Result<ShardedSnapshot> {
-        self.snapshot_at(self.commit_lsn)
+        self.snapshot_at(self.commit_lsn())
     }
 
     /// Pin a consistent cross-shard snapshot as of global LSN `lsn`.
@@ -674,58 +727,9 @@ impl ShardedDatabase {
     /// table's rows (sorted by encoded bytes, merged across shards), and
     /// every view's rows plus count indexes (merged by key). Two façades
     /// with the same logical content are byte-equal regardless of shard
-    /// count — N-shard == 1-shard == recomputed twin.
+    /// count — N-shard == 1-shard == plain [`Database`] == recomputed twin.
     pub fn state_bytes(&self) -> Result<Vec<u8>> {
-        let fit = |n: usize, what: &str| -> Result<u32> {
-            u32::try_from(n).map_err(|_| CoreError::InvalidView {
-                view: "<sharding>".to_string(),
-                detail: format!("{what} of {n} exceeds u32 framing"),
-            })
-        };
-        let mut buf = Vec::new();
-        put_u64(&mut buf, self.commit_lsn);
-        // Base tables, sorted by name, rows merged + sorted canonically.
-        let mut table_names: Vec<String> = self.shards[0]
-            .catalog()
-            .tables()
-            .map(|t| t.name().to_string())
-            .collect();
-        table_names.sort_unstable();
-        put_u32(&mut buf, fit(table_names.len(), "table count")?);
-        for name in &table_names {
-            put_str(&mut buf, name).map_err(CoreError::Rel)?;
-            let mut encoded: Vec<Vec<u8>> = Vec::new();
-            for s in &self.shards {
-                for row in s.catalog().table(name)?.iter_rows() {
-                    let mut e = Vec::new();
-                    put_row(&mut e, &row).map_err(CoreError::Rel)?;
-                    encoded.push(e);
-                }
-            }
-            encoded.sort_unstable();
-            put_u32(&mut buf, fit(encoded.len(), "row count")?);
-            for e in encoded {
-                buf.extend_from_slice(&e);
-            }
-        }
-        // Views, sorted by name.
-        let mut view_names = self.views.clone();
-        view_names.sort_unstable();
-        put_u32(&mut buf, fit(view_names.len(), "view count")?);
-        for name in &view_names {
-            put_str(&mut buf, name).map_err(CoreError::Rel)?;
-            let stores: Vec<&crate::materialize::ViewStore> = self
-                .shards
-                .iter()
-                .map(|s| {
-                    s.view(name)
-                        .map(|v| v.store())
-                        .ok_or_else(|| CoreError::UnknownView { view: name.clone() })
-                })
-                .collect::<Result<_>>()?;
-            encode_merged_stores(&mut buf, &stores)?;
-        }
-        Ok(buf)
+        canonical_state_bytes(&self.shards)
     }
 
     /// Reject views whose joins would cross shards: every referenced
@@ -773,6 +777,63 @@ impl ShardedDatabase {
     }
 }
 
+fn fit_u32(n: usize, what: &str) -> Result<u32> {
+    u32::try_from(n).map_err(|_| CoreError::InvalidView {
+        view: "<sharding>".to_string(),
+        detail: format!("{what} of {n} exceeds u32 framing"),
+    })
+}
+
+/// The canonical state encoding of [`ShardedDatabase::state_bytes`] over
+/// `shards` (one plain [`Database`] is the 1-shard case): commit LSN, base
+/// tables sorted by name with rows merged and sorted by encoded bytes, and
+/// the (non-aggregate) views sorted by name.
+pub(crate) fn canonical_state_bytes(shards: &[Database]) -> Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    put_u64(&mut buf, shards[0].commit_lsn());
+    let mut table_names: Vec<String> = shards[0]
+        .catalog()
+        .tables()
+        .map(|t| t.name().to_string())
+        .collect();
+    table_names.sort_unstable();
+    put_u32(&mut buf, fit_u32(table_names.len(), "table count")?);
+    for name in &table_names {
+        put_str(&mut buf, name).map_err(CoreError::Rel)?;
+        let mut encoded: Vec<Vec<u8>> = Vec::new();
+        for s in shards {
+            for row in s.catalog().table(name)?.iter_rows() {
+                let mut e = Vec::new();
+                put_row(&mut e, &row).map_err(CoreError::Rel)?;
+                encoded.push(e);
+            }
+        }
+        encoded.sort_unstable();
+        put_u32(&mut buf, fit_u32(encoded.len(), "row count")?);
+        for e in encoded {
+            buf.extend_from_slice(&e);
+        }
+    }
+    let mut view_names: Vec<&str> = shards[0].views().map(|v| v.name()).collect();
+    view_names.sort_unstable();
+    put_u32(&mut buf, fit_u32(view_names.len(), "view count")?);
+    for name in view_names {
+        put_str(&mut buf, name).map_err(CoreError::Rel)?;
+        let stores: Vec<&crate::materialize::ViewStore> = shards
+            .iter()
+            .map(|s| {
+                s.view(name)
+                    .map(|v| v.store())
+                    .ok_or_else(|| CoreError::UnknownView {
+                        view: name.to_string(),
+                    })
+            })
+            .collect::<Result<_>>()?;
+        encode_merged_stores(&mut buf, &stores)?;
+    }
+    Ok(buf)
+}
+
 fn misaligned(view: &str, detail: String) -> CoreError {
     CoreError::InvalidView {
         view: view.to_string(),
@@ -787,12 +848,6 @@ fn encode_merged_stores(
     buf: &mut Vec<u8>,
     stores: &[&crate::materialize::ViewStore],
 ) -> Result<()> {
-    let fit = |n: usize, what: &str| -> Result<u32> {
-        u32::try_from(n).map_err(|_| CoreError::InvalidView {
-            view: "<sharding>".to_string(),
-            detail: format!("{what} of {n} exceeds u32 framing"),
-        })
-    };
     let mut encoded: Vec<Vec<u8>> = Vec::new();
     for store in stores {
         for row in store.rows() {
@@ -802,13 +857,13 @@ fn encode_merged_stores(
         }
     }
     encoded.sort_unstable();
-    put_u32(buf, fit(encoded.len(), "view row count")?);
+    put_u32(buf, fit_u32(encoded.len(), "view row count")?);
     for e in encoded {
         buf.extend_from_slice(&e);
     }
     // Merge count indexes by column set, in the first store's order.
     let first_snapshot = stores[0].count_index_snapshot();
-    put_u32(buf, fit(first_snapshot.len(), "index count")?);
+    put_u32(buf, fit_u32(first_snapshot.len(), "index count")?);
     for (cols, _) in &first_snapshot {
         let mut merged: BTreeMap<Vec<Datum>, usize> = BTreeMap::new();
         for store in stores {
@@ -820,11 +875,11 @@ fn encode_merged_stores(
                 }
             }
         }
-        put_u32(buf, fit(cols.len(), "index column count")?);
+        put_u32(buf, fit_u32(cols.len(), "index column count")?);
         for &c in cols {
-            put_u32(buf, fit(c, "index column")?);
+            put_u32(buf, fit_u32(c, "index column")?);
         }
-        put_u32(buf, fit(merged.len(), "index entry count")?);
+        put_u32(buf, fit_u32(merged.len(), "index entry count")?);
         for (key, count) in merged {
             put_row(buf, &key).map_err(CoreError::Rel)?;
             put_u64(buf, count as u64); // lint:allow(cast) — usize widens into u64 on 64-bit

@@ -353,6 +353,14 @@ pub fn install(seed: &str) -> DetectorGuard {
     }
 }
 
+/// Hold the session lock without starting a session. A test that runs
+/// instrumented code in the same binary as a detector test takes this, so
+/// no session is active while it runs — a session records every thread it
+/// sees, and would report that test's threads as racing with its own.
+pub fn exclusive() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Register the calling OS thread under `name`. Pair with a
 /// [`publish`]/[`observe`] channel to give it a spawn edge from its parent.
 pub fn register_thread(name: &str) {
@@ -855,6 +863,7 @@ mod tests {
 
     #[test]
     fn detector_inactive_hooks_are_noops() {
+        let _serial = exclusive();
         assert!(!active());
         on_write("nothing");
         lock_acquired("nothing");

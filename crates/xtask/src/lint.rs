@@ -76,7 +76,7 @@ pub const LINTS: [LintDef; 12] = [
     },
     LintDef {
         id: "shard-routing-confined",
-        scope: "everywhere but crates/storage/src/shard.rs, crates/core/src/shard{,_durable}.rs",
+        scope: "everywhere but crates/{storage,core}/src/shard.rs",
         desc: "no direct ShardId/ShardRouter construction or route_* calls outside the \
                router's module and core's shard facade — a second routing decision point \
                can disagree with the facade's and send a row's maintenance to the wrong \
@@ -186,9 +186,7 @@ fn applies(lint: &str, path: &str) -> bool {
         // could hash differently (or construct a ShardId out of thin air)
         // and route a row's maintenance to a shard that does not own it.
         "shard-routing-confined" => {
-            path != "crates/storage/src/shard.rs"
-                && path != "crates/core/src/shard.rs"
-                && path != "crates/core/src/shard_durable.rs"
+            path != "crates/storage/src/shard.rs" && path != "crates/core/src/shard.rs"
         }
         // Seed discipline applies to every scanned file, test or not.
         "sched-seed-logged" => true,
@@ -649,11 +647,7 @@ mod tests {
         assert_eq!(v2.len(), 4);
         assert!(v2.iter().all(|x| x.lint == "shard-routing-confined"));
         // The router's module and core's shard facade are the sanctioned homes.
-        for path in [
-            "crates/storage/src/shard.rs",
-            "crates/core/src/shard.rs",
-            "crates/core/src/shard_durable.rs",
-        ] {
+        for path in ["crates/storage/src/shard.rs", "crates/core/src/shard.rs"] {
             assert!(scan_file(path, ctor).is_empty(), "{path}");
             assert!(scan_file(path, routes).is_empty(), "{path}");
         }

@@ -7,7 +7,10 @@
 //!    and 8 ends in byte-identical [`ShardedDatabase::state_bytes`], every
 //!    shard's view verifies against its own recompute, and constraint
 //!    rejections (duplicate keys, FK restricts) are identical at every
-//!    shard count. Failing sequences shrink toward shorter, simpler ones.
+//!    shard count. One shard is the plain path: it also accepts a view
+//!    misaligned under the routing, and stays byte-identical to a plain
+//!    [`Database`] with that view. Failing sequences shrink toward shorter,
+//!    simpler ones.
 //!
 //! 2. **Group-commit floor convergence** — for every subset of shards whose
 //!    WALs made it to stable storage before a crash (the coordinator's
@@ -80,6 +83,19 @@ fn views() -> Vec<ViewDef> {
             ),
         ),
     ]
+}
+
+/// A full outer join on non-routing columns: its joins would cross shards,
+/// so only a single shard (or a plain database) may maintain it.
+fn misaligned_view() -> ViewDef {
+    ViewDef::new(
+        "pc_data",
+        ViewExpr::full_outer(
+            vec![col_eq("parent", "pdata", "child", "cdata")],
+            ViewExpr::table("parent"),
+            ViewExpr::table("child"),
+        ),
+    )
 }
 
 fn sharded(n: usize) -> ShardedDatabase {
@@ -199,8 +215,25 @@ property! {
         seed in 0u64..10_000,
         ops in vec_of(op_strategy(), 1..14),
     ) {
+        let _serial = ojv_testkit::race::exclusive();
         let mut dbs: Vec<ShardedDatabase> = SHARD_COUNTS.iter().map(|&n| sharded(n)).collect();
         dbs[3].parallel_shards = true; // the 8-shard twin uses scoped threads
+
+        // The misaligned view: accepted by one shard, rejected by more.
+        dbs[0].create_view(misaligned_view()).unwrap();
+        for db in &mut dbs[1..] {
+            match db.create_view(misaligned_view()) {
+                Err(CoreError::InvalidView { detail, .. }) => {
+                    assert!(detail.contains("shard-misaligned"), "{detail} (seed={seed})")
+                }
+                other => panic!("misaligned view at {} shards: {other:?}", db.shard_count()),
+            }
+        }
+        // The plain twin the 1-shard façade must equal, byte for byte.
+        let mut plain = Database::new(schema());
+        for def in views().into_iter().chain([misaligned_view()]) {
+            plain.create_view(def).unwrap();
+        }
 
         // Driver-side mirror of live rows, advanced only when ops succeed.
         let mut parents: Vec<i64> = Vec::new();
@@ -270,6 +303,13 @@ property! {
                 };
                 verdicts.push(ok);
             }
+            verdicts.push(match &call {
+                Call::Insert(t, row) => plain.insert(t, vec![row.clone()]).is_ok(),
+                Call::Delete(t, key) => plain.delete(t, std::slice::from_ref(key)).is_ok(),
+                Call::Update(t, key, row) => {
+                    plain.update(t, std::slice::from_ref(key), vec![row.clone()]).is_ok()
+                }
+            });
             assert!(
                 verdicts.iter().all(|&v| v == verdicts[0]),
                 "twins disagree on op outcome: {verdicts:?} for {op:?} (seed={seed})"
@@ -299,6 +339,23 @@ property! {
                 }
             }
         }
+
+        // The 1-shard façade is the plain database, misaligned view and
+        // all; that view verifies against recompute.
+        assert_eq!(
+            dbs[0].state_bytes().unwrap(),
+            plain.state_bytes().unwrap(),
+            "1-shard façade diverged from the plain database (seed={seed}, ops={ops:?})"
+        );
+        let one = dbs[0].shards().next().unwrap();
+        assert!(
+            ojv::core::maintain::verify_against_recompute(
+                one.view("pc_data").unwrap(),
+                one.catalog()
+            ),
+            "1-shard misaligned view diverged from recompute (seed={seed})"
+        );
+        dbs[0].drop_view("pc_data").unwrap();
 
         // Final differential check: byte-identical state at every shard
         // count, and every shard's views verify against recompute.
@@ -369,6 +426,7 @@ fn committed_floor(n: usize) -> (Vec<MemVfs>, MemVfs, Vec<u8>, u64) {
 /// Recovery must converge on the pre-crash floor in every case.
 #[test]
 fn torn_group_commit_converges_on_the_floor_for_every_sync_subset() {
+    let _serial = ojv_testkit::race::exclusive();
     const N: usize = 3;
     for subset in 0u32..(1 << N) {
         let (shards, coord, floor_state, floor_lsn) = committed_floor(N);
@@ -459,6 +517,7 @@ fn torn_group_commit_converges_on_the_floor_for_every_sync_subset() {
 /// group floor happened, nothing else did".
 #[test]
 fn recovery_matches_the_serial_twin_at_the_floor() {
+    let _serial = ojv_testkit::race::exclusive();
     let (shards, coord, _, _) = committed_floor(4);
     let policy = MaintenancePolicy {
         fsync: FsyncPolicy::Always,
