@@ -69,4 +69,7 @@ cargo check --offline -p ojv-bench --benches --features criterion
 echo "==> cargo bench --no-run (bench binaries link)"
 cargo bench --offline --no-run -p ojv-bench --features criterion
 
+echo "==> perfbench builds (the benchmark is its own package; an engine API change must not break it unseen)"
+CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "All checks passed."

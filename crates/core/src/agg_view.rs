@@ -279,15 +279,10 @@ impl MaterializedAggView {
         self.plans.get_or_compile(&self.analysis, catalog, t, cfg)
     }
 
-    /// Eagerly compile the maintenance plan for every referenced table under
-    /// `policy` — called at view creation so steady-state maintenance never
-    /// compiles.
+    /// Eagerly compile every maintenance plan `policy` can need (see
+    /// [`PlanCache::warm`]), so maintenance never compiles.
     pub fn warm_plans(&mut self, catalog: &Catalog, policy: &MaintenancePolicy) -> Result<()> {
-        let cfg = PlanConfig::of(policy);
-        for i in 0..self.analysis.layout.table_count() {
-            self.compiled_plan(catalog, TableId(i as u8), cfg)?;
-        }
-        Ok(())
+        self.plans.warm(&self.analysis, catalog, policy)
     }
 
     /// Incrementally maintain after `update` was applied to the catalog.

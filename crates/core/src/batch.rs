@@ -68,15 +68,14 @@ struct Job {
 /// already been applied to the catalog. Returns one report per non-noop
 /// view, in registration order (views first, then aggregated views).
 ///
-/// `threads` caps the worker pool; `1` runs the jobs inline on the calling
-/// thread.
+/// `policy.parallel.threads` caps the worker pool; `1` runs the jobs inline
+/// on the calling thread.
 pub fn maintain_batch(
     views: &mut [MaterializedView],
     agg_views: &mut [MaterializedAggView],
     catalog: &Catalog,
     update: &Update,
     policy: &MaintenancePolicy,
-    threads: usize,
 ) -> Result<Vec<MaintenanceReport>> {
     let cfg = PlanConfig::of(policy);
 
@@ -158,7 +157,7 @@ pub fn maintain_batch(
         })
         .collect();
 
-    let p = threads.max(1).min(works.len());
+    let p = policy.parallel.threads.max(1).min(works.len());
     let mut results: Vec<(usize, Result<MaintenanceReport>)> = if p <= 1 {
         works
             .into_iter()
@@ -802,7 +801,6 @@ mod tests {
             let mut c = example1_catalog();
             populate_example1(&mut c, 8, 9);
             let mut db = Database::new(c);
-            db.parallel_maintenance = threads > 1;
             db.policy = MaintenancePolicy::with_threads(threads);
             db.create_view(oj_view_def().with_name("ok_view")).unwrap();
             db.create_view(oj_view_def().with_name("panic_me")).unwrap();
@@ -825,7 +823,6 @@ mod tests {
     fn bounded_pool_matches_serial() {
         let mut serial = db_with_views(5, true);
         let mut pooled = db_with_views(5, true);
-        pooled.parallel_maintenance = true;
         pooled.policy = MaintenancePolicy {
             share_plans: true,
             ..MaintenancePolicy::with_threads(2)

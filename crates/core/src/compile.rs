@@ -245,6 +245,30 @@ impl PlanCache {
         Ok(compiled)
     }
 
+    /// Eagerly compile the plan for every referenced table under
+    /// `PlanConfig::of(policy)` and under the FK-off configuration the halves
+    /// of an SQL `UPDATE` run with (§6 caveats), so maintenance never
+    /// compiles. Called at view creation and install.
+    pub fn warm(
+        &mut self,
+        analysis: &ViewAnalysis,
+        catalog: &Catalog,
+        policy: &MaintenancePolicy,
+    ) -> Result<()> {
+        let cfg = PlanConfig::of(policy);
+        let update_half = PlanConfig {
+            use_fk: false,
+            ..cfg
+        };
+        // When `cfg` is already FK-off the second pass only hits the cache.
+        for cfg in [cfg, update_half] {
+            for i in 0..analysis.layout.table_count() {
+                self.get_or_compile(analysis, catalog, TableId(i as u8), cfg)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Number of cached plans (for tests).
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -372,17 +396,20 @@ mod tests {
         db
     }
 
-    /// View creation compiles exactly one plan per (view, base table), and a
-    /// 100-batch steady-state workload compiles nothing more.
+    /// View creation compiles exactly one plan per (view, base table) and
+    /// configuration — the policy's own and the FK-off one an SQL `UPDATE`
+    /// runs under — and a 100-batch steady-state workload compiles nothing
+    /// more.
     #[test]
     fn exactly_one_compile_per_view_table_pair() {
         let before = compile_count();
         let mut db = fresh_db(3);
         let tables = 3; // part, orders, lineitem
+        let configs = 2; // FK on (inserts, deletes) and FK off (UPDATE halves)
         assert_eq!(
             compile_count(),
-            before + 3 * tables,
-            "creation compiles one plan per (view, table)"
+            before + 3 * tables * configs,
+            "creation compiles one plan per (view, table, config)"
         );
         for i in 0..100i64 {
             db.insert("lineitem", vec![lineitem_row(6, 200 + i, 2, 4, 1.0)])
@@ -390,9 +417,28 @@ mod tests {
         }
         assert_eq!(
             compile_count(),
-            before + 3 * tables,
+            before + 3 * tables * configs,
             "steady-state maintenance must be compile-free"
         );
+    }
+
+    /// The first SQL `UPDATE` hits plans warmed at creation, for plain and
+    /// aggregate views alike.
+    #[test]
+    fn first_update_compiles_nothing() {
+        let mut db = fresh_db(1);
+        let agg = crate::agg_view::AggViewDef::new("agg", oj_view_def())
+            .group_by("part", "p_partkey")
+            .agg("cnt", crate::agg_view::AggSpec::CountRows);
+        db.create_agg_view(agg).unwrap();
+        let before = compile_count();
+        db.update(
+            "lineitem",
+            &[vec![ojv_rel::Datum::Int(2), ojv_rel::Datum::Int(1)]],
+            vec![lineitem_row(2, 1, 3, 99, 1.0)],
+        )
+        .unwrap();
+        assert_eq!(compile_count(), before, "the first UPDATE must not compile");
     }
 
     /// DDL through the database bumps the schema version; the next

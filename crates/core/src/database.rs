@@ -37,12 +37,11 @@ pub struct Database {
     /// Per-view `(name, inserts, deletes)` of the last commit's journaled
     /// delta, for `explain_batch`'s `delta` lines. Only touched views appear.
     last_deltas: Vec<(String, usize, usize)>,
-    /// Maintenance policy applied to every view on every update.
+    /// Maintenance policy applied to every view on every update. Its
+    /// `parallel.threads` also sizes the pool that maintains independent
+    /// views side by side (each owns its store; the catalog is read-only
+    /// during maintenance, so this is a pure fan-out).
     pub policy: MaintenancePolicy,
-    /// Maintain independent views on separate threads. Views never share
-    /// mutable state (each owns its store; the catalog is read-only during
-    /// maintenance), so this is a pure fan-out.
-    pub parallel_maintenance: bool,
 }
 
 impl Clone for Database {
@@ -68,7 +67,6 @@ impl Clone for Database {
             observer: None,
             last_deltas: self.last_deltas.clone(),
             policy: self.policy,
-            parallel_maintenance: self.parallel_maintenance,
         }
     }
 }
@@ -84,7 +82,6 @@ impl Database {
             observer: None,
             last_deltas: Vec::new(),
             policy: MaintenancePolicy::default(),
-            parallel_maintenance: false,
         }
     }
 
@@ -257,12 +254,13 @@ impl Database {
     /// maintenance errored, so the registry's tips always track the working
     /// stores. Safe to call with nothing journaled — an empty commit just
     /// advances the registry to `lsn` (how untouched shards join a group
-    /// commit).
+    /// commit). Each view's delta is built once, as one `Arc` that the
+    /// registry's history and the observer share.
     pub(crate) fn publish_commit(&mut self, lsn: Lsn) -> Result<()> {
-        let drained: Vec<(String, Vec<crate::snapshot::ViewOp>)> = self
+        let drained: Vec<(String, Arc<Vec<crate::snapshot::ViewOp>>)> = self
             .views
             .iter_mut()
-            .map(|v| (v.name().to_string(), v.take_journal()))
+            .map(|v| (v.name().to_string(), Arc::new(v.take_journal())))
             .collect();
         let published = self.snapshots.commit(lsn, &drained);
         self.commit_lsn = self.commit_lsn.max(lsn);
@@ -424,18 +422,12 @@ impl Database {
     }
 
     fn maintain_all(&mut self, update: &Update) -> Result<Vec<MaintenanceReport>> {
-        let threads = if self.parallel_maintenance {
-            self.policy.parallel.threads.max(1)
-        } else {
-            1
-        };
         crate::batch::maintain_batch(
             &mut self.views,
             &mut self.agg_views,
             &self.catalog,
             update,
             &self.policy,
-            threads,
         )
     }
 }
@@ -564,7 +556,6 @@ mod tests {
     fn parallel_maintenance_matches_sequential() {
         let mut seq = db();
         let mut par = db();
-        par.parallel_maintenance = true;
         par.policy = MaintenancePolicy::with_threads(4);
         for d in [&mut seq, &mut par] {
             d.create_view(oj_view_def()).unwrap();
@@ -602,7 +593,7 @@ mod tests {
         fn on_commit(
             &self,
             lsn: ojv_durability::Lsn,
-            updates: &[(String, Vec<crate::snapshot::ViewOp>)],
+            updates: &[(String, Arc<Vec<crate::snapshot::ViewOp>>)],
         ) {
             *self.ops_seen.lock().unwrap() +=
                 updates.iter().map(|(_, ops)| ops.len()).sum::<usize>();

@@ -1721,6 +1721,32 @@ mod tests {
         ));
     }
 
+    /// The first SQL `UPDATE` compiles nothing, both after `create_view`
+    /// and after recovery installs the view from a checkpoint.
+    #[test]
+    fn first_update_compiles_nothing() {
+        let mut d = DurableDatabase::create(MemVfs::new(), seeded(), policy()).unwrap();
+        d.create_view(oj_view_def()).unwrap();
+        d.checkpoint().unwrap();
+        let before = crate::compile::compile_count();
+        d.update(
+            "lineitem",
+            &[vec![Datum::Int(2), Datum::Int(1)]],
+            vec![lineitem_row(2, 1, 3, 99, 1.0)],
+        )
+        .unwrap();
+        assert_eq!(crate::compile::compile_count(), before, "after create");
+        let (mut r, _) = DurableDatabase::open(d.into_vfs(), policy()).unwrap();
+        let before = crate::compile::compile_count();
+        r.update(
+            "lineitem",
+            &[vec![Datum::Int(2), Datum::Int(1)]],
+            vec![lineitem_row(2, 1, 3, 7, 2.0)],
+        )
+        .unwrap();
+        assert_eq!(crate::compile::compile_count(), before, "after recovery");
+    }
+
     #[test]
     fn deferred_queue_rebuilds_from_wal() {
         let mut d = DurableDatabase::create(MemVfs::new(), seeded(), policy()).unwrap();

@@ -120,7 +120,7 @@ impl ViewStore {
     pub(crate) fn apply_op(&mut self, op: &ViewOp, view: &str) -> Result<()> {
         match op {
             ViewOp::Insert(row) => self.insert(row.clone(), view),
-            ViewOp::Delete(key) => self.delete(key, view).map(|_| ()),
+            ViewOp::Delete(row) => self.delete(&key_of(row, &self.key_cols), view),
         }
     }
 
@@ -225,9 +225,10 @@ impl ViewStore {
             .collect()
     }
 
-    /// Delete by view key, returning the removed row. Missing keys indicate
-    /// a maintenance bug.
-    pub fn delete(&mut self, key: &[Datum], view: &str) -> Result<Row> {
+    /// Delete by view key. The removed row moves into the journal (the
+    /// commit delta's pre-image) or is dropped. Missing keys indicate a
+    /// maintenance bug.
+    pub fn delete(&mut self, key: &[Datum], view: &str) -> Result<()> {
         let pos = self
             .index
             .remove(key)
@@ -247,9 +248,9 @@ impl ViewStore {
             self.index.insert(moved_key, pos);
         }
         if let Some(journal) = &mut self.journal {
-            journal.push(ViewOp::Delete(key.to_vec()));
+            journal.push(ViewOp::Delete(row));
         }
-        Ok(row)
+        Ok(())
     }
 }
 
@@ -315,15 +316,11 @@ impl MaterializedView {
         self.plans.get_or_compile(&self.analysis, catalog, t, cfg)
     }
 
-    /// Eagerly compile the maintenance plan for every referenced table under
-    /// `policy` — called at view creation so steady-state maintenance never
-    /// compiles (the compile counter stays flat).
+    /// Eagerly compile every maintenance plan `policy` can need (see
+    /// [`PlanCache::warm`]), so maintenance never compiles (the compile
+    /// counter stays flat).
     pub fn warm_plans(&mut self, catalog: &Catalog, policy: &MaintenancePolicy) -> Result<()> {
-        let cfg = PlanConfig::of(policy);
-        for i in 0..self.analysis.layout.table_count() {
-            self.compiled_plan(catalog, ojv_algebra::TableId(i as u8), cfg)?;
-        }
-        Ok(())
+        self.plans.warm(&self.analysis, catalog, policy)
     }
 
     /// Number of cached compiled plans (for tests).
@@ -447,6 +444,7 @@ mod tests {
     #[test]
     fn view_store_insert_delete_roundtrip() {
         let mut s = ViewStore::new(vec![0, 1]);
+        s.enable_journal();
         s.insert(vec![Datum::Int(1), Datum::Null, Datum::Int(5)], "v")
             .unwrap();
         s.insert(vec![Datum::Int(1), Datum::Int(2), Datum::Int(6)], "v")
@@ -455,8 +453,17 @@ mod tests {
         assert!(s.contains(&[Datum::Int(1), Datum::Null]));
         let dup = s.insert(vec![Datum::Int(1), Datum::Null, Datum::Int(9)], "v");
         assert!(dup.is_err());
-        let row = s.delete(&[Datum::Int(1), Datum::Null], "v").unwrap();
-        assert_eq!(row[2], Datum::Int(5));
+        s.take_journal();
+        s.delete(&[Datum::Int(1), Datum::Null], "v").unwrap();
+        // The journal carries the removed row, not just its key.
+        assert_eq!(
+            s.take_journal(),
+            vec![ViewOp::Delete(vec![
+                Datum::Int(1),
+                Datum::Null,
+                Datum::Int(5)
+            ])]
+        );
         assert!(!s.contains(&[Datum::Int(1), Datum::Null]));
         assert!(s.delete(&[Datum::Int(9), Datum::Null], "v").is_err());
         // The swap-removed survivor is still findable.

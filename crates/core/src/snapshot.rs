@@ -56,15 +56,18 @@ use ojv_rel::{key_of, put_row, put_str, put_u32, put_u64, Datum, Relation, Row, 
 use crate::error::{CoreError, Result};
 use crate::materialize::{MaterializedView, ViewStore};
 
-/// One journaled mutation of a view store, in apply order. Replaying a
-/// store's ops reproduces its exact state *including heap order*, because
-/// the replay goes through the same `insert`/`delete` (swap-remove) code.
+/// One journaled mutation of a view store, in apply order. Both variants
+/// carry the full wide row, so a commit's ops are a complete delta: a
+/// consumer sees every deleted row's pre-image without keeping its own copy
+/// of the view. Replaying a store's ops reproduces its exact state
+/// *including heap order*, because the replay goes through the same
+/// `insert`/`delete` (swap-remove) code.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ViewOp {
     /// A wide row inserted by the commit path.
     Insert(Row),
-    /// A deletion by view key.
-    Delete(Vec<Datum>),
+    /// A wide row removed by the commit path (its view key identifies it).
+    Delete(Row),
 }
 
 /// Count the journaled ops in one view's commit delta: `(inserts, deletes)`.
@@ -92,14 +95,15 @@ pub struct FanoutStats {
 
 /// Observer of committed view deltas. The database invokes it once per
 /// commit, *after* the registry has published the batch at `lsn`, with the
-/// exact journaled ops that advanced each view's tip — the hand-off point
-/// for downstream consumers such as the change-feed hub in `ojv-feed`.
+/// exact journaled ops that advanced each view's tip — the same `Arc` the
+/// registry's history retains, not a copy — the hand-off point for
+/// downstream consumers such as the change-feed hub in `ojv-feed`.
 /// Implementations must tolerate empty per-view op lists (untouched views)
 /// and commits for views they have never seen.
 pub trait CommitObserver: Send + Sync + std::fmt::Debug {
     /// A batch committed at `lsn`; `updates` holds one `(view, ops)` entry
     /// per registered view (ops empty when the batch left it untouched).
-    fn on_commit(&self, lsn: Lsn, updates: &[(String, Vec<ViewOp>)]);
+    fn on_commit(&self, lsn: Lsn, updates: &[(String, Arc<Vec<ViewOp>>)]);
 
     /// Current fan-out statistics, if the observer tracks subscriptions.
     fn fanout_stats(&self) -> Option<FanoutStats> {
@@ -350,7 +354,7 @@ impl SnapshotRegistry {
     /// ops and stamp the registry at `lsn` — atomically for all views. While
     /// pins retain older versions, the pre-commit tip becomes (or extends)
     /// the chain's history so those versions stay materializable.
-    pub(crate) fn commit(&self, lsn: Lsn, updates: &[(String, Vec<ViewOp>)]) -> Result<()> {
+    pub(crate) fn commit(&self, lsn: Lsn, updates: &[(String, Arc<Vec<ViewOp>>)]) -> Result<()> {
         let mut inner = self.lock();
         crate::trace::on_write(REGISTRY_CHAINS);
         let prev = inner.lsn;
@@ -386,11 +390,11 @@ impl SnapshotRegistry {
                 let hist = chain.hist.as_mut().expect("anchored above");
                 hist.deltas.push(CommitDelta {
                     lsn,
-                    ops: Arc::new(ops.clone()),
+                    ops: Arc::clone(ops),
                 });
             }
             let tip = Arc::make_mut(&mut chain.tip);
-            for op in ops {
+            for op in ops.iter() {
                 tip.apply_op(op, name)?;
             }
         }
@@ -547,8 +551,8 @@ impl SnapshotView {
         &self.projection
     }
 
-    /// Wide-row column indexes of the view's unique key (the identity a
-    /// [`ViewOp::Delete`] names).
+    /// Wide-row column indexes of the view's unique key (the identity of
+    /// the row a [`ViewOp::Delete`] removes).
     pub fn key_cols(&self) -> &[usize] {
         self.store.key_cols()
     }

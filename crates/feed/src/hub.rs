@@ -4,10 +4,10 @@
 //! # Architecture
 //!
 //! The hub attaches to a [`Database`] as its [`CommitObserver`]. Every
-//! committed batch arrives as the journaled `(view, Vec<ViewOp>)` pairs the
-//! snapshot registry just published, tagged with the commit LSN — the feed
-//! therefore sees exactly the deltas maintenance computed, in commit order,
-//! and never re-derives them.
+//! committed batch arrives as the journaled `(view, Arc<Vec<ViewOp>>)` pairs
+//! the snapshot registry just published (the same `Arc`s), tagged with the
+//! commit LSN — the feed therefore sees exactly the deltas maintenance
+//! computed, in commit order, and never re-derives them.
 //!
 //! Subscriptions dedup through a three-level trie mirroring the batch
 //! planner's plan trie: **view → filter group → evaluation leaf**. All
@@ -17,16 +17,18 @@
 //! 100 000 subscribers over 250 distinct `(filter, projection)` specs cost
 //! 250 evaluations per commit, not 100 000.
 //!
-//! Per commit the hub first **nets** each view's ops: ops are folded per
-//! view key (last write wins), then compared against a shadow image of the
-//! view, yielding `(pre, post)` pairs. A row inserted and deleted inside one
-//! batch nets to nothing; an UPDATE decomposes into its delete/insert
-//! halves only when a projected column actually changed. Netted events fan
-//! out to filter groups on a bounded worker pool (the same shape as batched
-//! maintenance's pool: bucketed jobs, `std::thread::scope`, per-job
-//! `catch_unwind`). Workers touch no locks — a panic is caught at the job
-//! boundary, sibling groups still publish, and the affected group's
-//! subscribers lapse to a snapshot rebase.
+//! Per commit the hub first **nets** each view's ops per view key into
+//! `(pre, post)` pairs. Every op carries its full wide row, so the delta
+//! alone holds both images: `pre` is the row of a key's first op if that op
+//! deletes, `post` the row of its last op if that op inserts. The hub keeps
+//! no copy of any view. A row inserted and deleted inside one batch nets to
+//! nothing; an UPDATE decomposes into its delete/insert halves only when a
+//! projected column actually changed. Netted events fan out to filter
+//! groups on a bounded worker pool (the same shape as batched maintenance's
+//! pool: bucketed jobs, `std::thread::scope`, per-job `catch_unwind`).
+//! Workers touch no locks — a panic is caught at the job boundary, sibling
+//! groups still publish, and the affected group's subscribers lapse to a
+//! snapshot rebase.
 //!
 //! Delivery is pull-based: each evaluation leaf retains a bounded ring of
 //! recent `Arc<UpdateSet>`s; a subscriber's [`Subscription::drain`] returns
@@ -48,7 +50,7 @@ use ojv_core::prelude::{
 };
 use ojv_durability::Lsn;
 use ojv_exec::filter_project_into;
-use ojv_rel::{fx_map_with_capacity, key_of, Datum, FxHashMap, Row, RowBuf};
+use ojv_rel::{fx_map_with_capacity, key_of, Datum, FxHashMap, RowBuf};
 
 use crate::error::{FeedError, Result};
 use crate::filter::{FeedFilter, SubscriptionSpec};
@@ -99,19 +101,14 @@ struct FilterGroup {
     leaves: Vec<EvalLeaf>,
 }
 
-/// Root level: per-view state. `shadow` is a full image of the view kept in
-/// step with commits, providing the pre-images [`ViewOp::Delete`] lacks
-/// (it names only the view key) so deletes can be filtered too.
+/// Root level: per-view state — the view's shape and its filter groups.
+/// No rows: a commit's ops carry the pre-images deletes need.
 #[derive(Debug)]
 struct ViewFeed {
     name: Arc<str>,
     key_cols: Arc<[usize]>,
     /// Output column `i` of the view lives at wide index `out_cols[i]`.
     out_cols: Arc<[usize]>,
-    shadow: FxHashMap<Vec<Datum>, Row>,
-    /// Commit LSN the shadow reflects; commits at or before it are skipped
-    /// (the shadow was seeded from a snapshot that already includes them).
-    shadow_lsn: Lsn,
     groups: Vec<FilterGroup>,
 }
 
@@ -166,50 +163,42 @@ pub struct FeedStats {
 // Netting
 // ---------------------------------------------------------------------------
 
-/// One view key's net change in a commit: `pre` (row before, from the
-/// shadow) and `post` (row after). `pre = None` → net insert; `post = None`
-/// → net delete; both `Some` → update. Never both `None` — full
-/// intra-batch cancellation is dropped during netting.
+/// One view key's net change in a commit: `pre` (row before) and `post`
+/// (row after), both borrowed from the commit's ops. `pre = None` → net
+/// insert; `post = None` → net delete; both `Some` → update. Never both
+/// `None` — full intra-batch cancellation is dropped during netting.
 #[derive(Debug)]
-struct NetEvent {
+struct NetEvent<'a> {
     key: Vec<Datum>,
-    pre: Option<Row>,
-    post: Option<Row>,
+    pre: Option<&'a [Datum]>,
+    post: Option<&'a [Datum]>,
 }
 
-/// Fold a commit's ops per view key (last write wins), diff against the
-/// shadow, and advance the shadow to the post-state. First-touch order is
+/// Net a commit's ops per view key. The view store refuses duplicate
+/// inserts and missing deletes, so a key's ops alternate: its `pre` is the
+/// row of its first op if that op deletes (the row existed before the
+/// commit), its `post` the row of its last op if that op inserts. A key
+/// inserted first and deleted last nets to nothing. First-touch order is
 /// preserved so output is deterministic.
-fn net_events(
-    ops: &[ViewOp],
-    key_cols: &[usize],
-    shadow: &mut FxHashMap<Vec<Datum>, Row>,
-) -> Vec<NetEvent> {
-    let mut order: Vec<Vec<Datum>> = Vec::new();
-    let mut last: FxHashMap<Vec<Datum>, Option<Row>> = fx_map_with_capacity(ops.len());
+fn net_events<'a>(ops: &'a [ViewOp], key_cols: &[usize]) -> Vec<NetEvent<'a>> {
+    let mut events: Vec<NetEvent<'a>> = Vec::new();
+    let mut slot: FxHashMap<Vec<Datum>, usize> = fx_map_with_capacity(ops.len());
     for op in ops {
-        let (key, post) = match op {
-            ViewOp::Insert(row) => (key_of(row, key_cols), Some(row.clone())),
-            ViewOp::Delete(key) => (key.clone(), None),
+        let (row, post) = match op {
+            ViewOp::Insert(row) => (row, Some(row.as_slice())),
+            ViewOp::Delete(row) => (row, None),
         };
-        if !last.contains_key(&key) {
-            order.push(key.clone());
+        let key = key_of(row, key_cols);
+        match slot.get(&key) {
+            Some(&i) => events[i].post = post,
+            None => {
+                slot.insert(key.clone(), events.len());
+                let pre = post.is_none().then_some(row.as_slice());
+                events.push(NetEvent { key, pre, post });
+            }
         }
-        last.insert(key, post);
     }
-    let mut events = Vec::with_capacity(order.len());
-    for key in order {
-        let post = last.remove(&key).expect("keyed in the fold above");
-        let pre = match &post {
-            Some(row) => shadow.insert(key.clone(), row.clone()),
-            None => shadow.remove(&key),
-        };
-        if pre.is_none() && post.is_none() {
-            // Inserted and deleted inside the same batch: nets to nothing.
-            continue;
-        }
-        events.push(NetEvent { key, pre, post });
-    }
+    events.retain(|ev| ev.pre.is_some() || ev.post.is_some());
     events
 }
 
@@ -218,9 +207,9 @@ fn net_events(
 // ---------------------------------------------------------------------------
 
 /// One worker job: evaluate one filter group's netted events for all of its
-/// live leaves. Self-contained (`Arc` shares of immutable state) so workers
-/// never touch the hub lock.
-struct Job {
+/// live leaves. Self-contained (`Arc` shares of immutable state, rows
+/// borrowed from the commit's ops) so workers never touch the hub lock.
+struct Job<'a> {
     view: Arc<str>,
     view_idx: usize,
     group_idx: usize,
@@ -229,7 +218,7 @@ struct Job {
     filter: Arc<FeedFilter>,
     /// `(leaf index, projection)` of each live leaf.
     leaves: Vec<(usize, Arc<[usize]>)>,
-    events: Arc<Vec<NetEvent>>,
+    events: Arc<Vec<NetEvent<'a>>>,
 }
 
 struct JobResult {
@@ -252,11 +241,9 @@ fn eval_group(job: &Job, lsn: Lsn) -> Vec<(usize, UpdateSet)> {
     for ev in job.events.iter() {
         let pre_m = ev
             .pre
-            .as_deref()
             .is_some_and(|r| job.filter.matches_row(r, &job.out_cols));
         let post_m = ev
             .post
-            .as_deref()
             .is_some_and(|r| job.filter.matches_row(r, &job.out_cols));
         if !pre_m && !post_m {
             continue;
@@ -264,8 +251,8 @@ fn eval_group(job: &Job, lsn: Lsn) -> Vec<(usize, UpdateSet)> {
         for ((_, proj), (_, set)) in job.leaves.iter().zip(sets.iter_mut()) {
             match (pre_m, post_m) {
                 (true, true) => {
-                    let pre = ev.pre.as_deref().expect("pre matched");
-                    let post = ev.post.as_deref().expect("post matched");
+                    let pre = ev.pre.expect("pre matched");
+                    let post = ev.post.expect("post matched");
                     // UPDATE halves — emitted only if a projected column
                     // actually changed for this leaf.
                     if proj.iter().any(|&c| pre[c] != post[c]) {
@@ -275,12 +262,7 @@ fn eval_group(job: &Job, lsn: Lsn) -> Vec<(usize, UpdateSet)> {
                 }
                 (true, false) => set.deletes.push_row(&ev.key),
                 (false, true) => {
-                    push_insert(
-                        set,
-                        &ev.key,
-                        ev.post.as_deref().expect("post matched"),
-                        proj,
-                    );
+                    push_insert(set, &ev.key, ev.post.expect("post matched"), proj);
                 }
                 (false, false) => unreachable!("skipped above"),
             }
@@ -300,7 +282,7 @@ fn push_insert(set: &mut UpdateSet, key: &[Datum], row: &[Datum], proj: &[usize]
     }
 }
 
-fn run_job(job: Job, lsn: Lsn) -> JobResult {
+fn run_job(job: Job<'_>, lsn: Lsn) -> JobResult {
     let leaf_idxs: Vec<usize> = job.leaves.iter().map(|(li, _)| *li).collect();
     let (view_idx, group_idx) = (job.view_idx, job.group_idx);
     let view = Arc::clone(&job.view);
@@ -321,12 +303,12 @@ fn run_job(job: Job, lsn: Lsn) -> JobResult {
 /// Run jobs on a bounded pool (same shape as batched maintenance's pool:
 /// round-robin buckets, scoped threads, per-job `catch_unwind`). Workers
 /// call only [`run_job`] — no locks are taken on worker threads.
-fn run_jobs(jobs: Vec<Job>, lsn: Lsn, threads: usize) -> Vec<JobResult> {
+fn run_jobs(jobs: Vec<Job<'_>>, lsn: Lsn, threads: usize) -> Vec<JobResult> {
     let p = threads.max(1).min(jobs.len().max(1));
     if p <= 1 || jobs.len() <= 1 {
         return jobs.into_iter().map(|j| run_job(j, lsn)).collect();
     }
-    let mut buckets: Vec<Vec<Job>> = (0..p).map(|_| Vec::new()).collect();
+    let mut buckets: Vec<Vec<Job<'_>>> = (0..p).map(|_| Vec::new()).collect();
     for (k, job) in jobs.into_iter().enumerate() {
         buckets[k % p].push(job);
     }
@@ -579,7 +561,7 @@ impl FeedHub {
         })?;
         let proj_out = spec.resolve(view.projection().len())?;
         let fp = spec.fingerprint(&proj_out);
-        let view_idx = g.ensure_view(view, pin.lsn());
+        let view_idx = g.ensure_view(view);
         let (group_idx, leaf_idx) = g.ensure_leaf(view_idx, spec, fp, &proj_out, pin.lsn());
         let leaf = &mut g.views[view_idx].groups[group_idx].leaves[leaf_idx];
         leaf.subscribers += 1;
@@ -629,7 +611,7 @@ impl FeedHub {
         })?;
         let proj_out = spec.resolve(view.projection().len())?;
         let fp = spec.fingerprint(&proj_out);
-        let view_idx = g.ensure_view(view, pin.lsn());
+        let view_idx = g.ensure_view(view);
         let (group_idx, leaf_idx) = g.ensure_leaf(view_idx, spec, fp, &proj_out, pin.lsn());
         let (floor, proj_global) = {
             let leaf = &g.views[view_idx].groups[group_idx].leaves[leaf_idx];
@@ -721,15 +703,16 @@ impl FeedHub {
     }
 
     /// First half of a fan-out: under the hub lock, net each view's ops
-    /// against its shadow and assemble per-group jobs; then (lock released)
-    /// evaluate them on the worker pool. Nothing is visible to subscribers
-    /// until [`FeedHub::publish_fanout`]. Split out so tests can interleave
+    /// and assemble per-group jobs; then (lock released) evaluate them on
+    /// the worker pool. Nothing is visible to subscribers until
+    /// [`FeedHub::publish_fanout`], which also drops the sets of leaves that
+    /// joined at or after `lsn`. Split out so tests can interleave
     /// subscriber operations between the two halves deterministically.
-    pub fn begin_fanout(&self, lsn: Lsn, updates: &[(String, Vec<ViewOp>)]) -> FanoutBatch {
+    pub fn begin_fanout(&self, lsn: Lsn, updates: &[(String, Arc<Vec<ViewOp>>)]) -> FanoutBatch {
         let started = Instant::now();
         let jobs = {
-            let mut g = self.lock();
-            crate::trace::on_write("feed.hub.state");
+            let g = self.lock();
+            crate::trace::on_read("feed.hub.state");
             let mut jobs = Vec::new();
             for (name, ops) in updates {
                 if ops.is_empty() {
@@ -742,16 +725,10 @@ impl FeedHub {
                 else {
                     continue; // no subscribers have ever touched this view
                 };
-                let vf = &mut g.views[view_idx];
-                if lsn <= vf.shadow_lsn {
-                    continue; // shadow was seeded from a snapshot including this commit
-                }
-                let key_cols = Arc::clone(&vf.key_cols);
-                let events = Arc::new(net_events(ops, &key_cols, &mut vf.shadow));
-                vf.shadow_lsn = lsn;
-                if events.is_empty() {
-                    continue; // the whole batch cancelled out
-                }
+                let vf = &g.views[view_idx];
+                // Netted only once a live leaf needs it: a view nobody
+                // listens to costs nothing per commit.
+                let mut events = None;
                 for (gi, group) in vf.groups.iter().enumerate() {
                     let live: Vec<(usize, Arc<[usize]>)> = group
                         .leaves
@@ -763,6 +740,11 @@ impl FeedHub {
                     if live.is_empty() {
                         continue;
                     }
+                    let events =
+                        events.get_or_insert_with(|| Arc::new(net_events(ops, &vf.key_cols)));
+                    if events.is_empty() {
+                        break; // the whole batch cancelled out
+                    }
                     jobs.push(Job {
                         view: Arc::clone(&vf.name),
                         view_idx,
@@ -771,7 +753,7 @@ impl FeedHub {
                         out_cols: Arc::clone(&vf.out_cols),
                         filter: Arc::clone(&group.filter),
                         leaves: live,
-                        events: Arc::clone(&events),
+                        events: Arc::clone(events),
                     });
                 }
             }
@@ -922,9 +904,8 @@ impl FeedHub {
 }
 
 impl HubInner {
-    /// Find or create the per-view feed state, seeding the shadow from the
-    /// pinned image (which reflects everything up to `lsn`).
-    fn ensure_view(&mut self, view: &SnapshotView, lsn: Lsn) -> usize {
+    /// Find or create the per-view feed state (O(1) in the view's size).
+    fn ensure_view(&mut self, view: &SnapshotView) -> usize {
         if let Some(i) = self
             .views
             .iter()
@@ -932,17 +913,10 @@ impl HubInner {
         {
             return i;
         }
-        let key_cols: Arc<[usize]> = view.key_cols().into();
-        let mut shadow = fx_map_with_capacity(view.len());
-        for row in view.wide_rows() {
-            shadow.insert(key_of(row, &key_cols), row.clone());
-        }
         self.views.push(ViewFeed {
             name: Arc::from(view.name()),
-            key_cols,
+            key_cols: view.key_cols().into(),
             out_cols: view.projection().into(),
-            shadow,
-            shadow_lsn: lsn,
             groups: Vec::new(),
         });
         self.views.len() - 1
@@ -1000,7 +974,7 @@ impl HubInner {
 }
 
 impl CommitObserver for FeedHub {
-    fn on_commit(&self, lsn: Lsn, updates: &[(String, Vec<ViewOp>)]) {
+    fn on_commit(&self, lsn: Lsn, updates: &[(String, Arc<Vec<ViewOp>>)]) {
         let batch = self.begin_fanout(lsn, updates);
         self.publish_fanout(batch);
     }
@@ -1253,8 +1227,8 @@ mod tests {
         assert_eq!(stats.subscribers, 0);
         assert_eq!(stats.shared_evals, 0);
         assert_eq!(stats.retained_sets, 0);
-        // With no subscribers the commit is netted (shadow advances) but no
-        // sets are evaluated or retained.
+        // With no subscribers the commit is neither netted nor evaluated,
+        // and no sets are retained.
         db.insert("part", vec![fixtures::part_row(300, "idle", 1.0)])
             .unwrap();
         assert_eq!(hub.stats().retained_sets, 0);
@@ -1513,27 +1487,31 @@ mod tests {
         // Drive the netting directly: an op stream that inserts then deletes
         // the same key inside one commit must net to nothing.
         let key_cols = [0usize];
-        let mut shadow: FxHashMap<Vec<Datum>, Row> = fx_map_with_capacity(0);
         let row = vec![Datum::Int(1), Datum::str("x")];
-        let ops = vec![
-            ViewOp::Insert(row.clone()),
-            ViewOp::Delete(vec![Datum::Int(1)]),
-        ];
-        let events = net_events(&ops, &key_cols, &mut shadow);
+        let ops = vec![ViewOp::Insert(row.clone()), ViewOp::Delete(row)];
+        let events = net_events(&ops, &key_cols);
         assert!(events.is_empty(), "insert+delete must cancel");
-        assert!(shadow.is_empty());
 
         // Delete-then-reinsert of an existing row with the same value nets
         // to an update event whose pre == post (workers then drop it when no
         // projected column changed).
-        shadow.insert(vec![Datum::Int(2)], vec![Datum::Int(2), Datum::str("y")]);
         let ops = vec![
-            ViewOp::Delete(vec![Datum::Int(2)]),
+            ViewOp::Delete(vec![Datum::Int(2), Datum::str("y")]),
             ViewOp::Insert(vec![Datum::Int(2), Datum::str("y")]),
         ];
-        let events = net_events(&ops, &key_cols, &mut shadow);
+        let events = net_events(&ops, &key_cols);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].pre, events[0].post);
+
+        // A lone delete of a row that existed before the batch: its
+        // pre-image comes from the op itself.
+        let gone = vec![Datum::Int(3), Datum::str("z")];
+        let ops = vec![ViewOp::Delete(gone.clone())];
+        let events = net_events(&ops, &key_cols);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].key, vec![Datum::Int(3)]);
+        assert_eq!(events[0].pre, Some(gone.as_slice()));
+        assert_eq!(events[0].post, None);
     }
 
     #[test]

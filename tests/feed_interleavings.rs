@@ -74,7 +74,7 @@ fn feed_refs(spec: &SubscriptionSpec, batches: usize) -> Vec<Vec<u8>> {
 }
 
 /// One journaled commit: its LSN and the per-view ops it published.
-type RecordedCommit = (Lsn, Vec<(String, Vec<ViewOp>)>);
+type RecordedCommit = (Lsn, Vec<(String, Arc<Vec<ViewOp>>)>);
 
 /// Commit observer that journals `(lsn, ops)` pairs instead of fanning out,
 /// so a driver actor can replay them through the stepped fan-out API at
@@ -85,7 +85,7 @@ struct Recorder {
 }
 
 impl CommitObserver for Recorder {
-    fn on_commit(&self, lsn: Lsn, updates: &[(String, Vec<ViewOp>)]) {
+    fn on_commit(&self, lsn: Lsn, updates: &[(String, Arc<Vec<ViewOp>>)]) {
         self.commits.lock().unwrap().push((lsn, updates.to_vec()));
     }
 }
